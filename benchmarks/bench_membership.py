@@ -18,7 +18,8 @@ extends to membership state because every view exchange is an
 engine-planned, backend-executed batch.
 
 Acceptance target: the newscast N = 1 000 000 run keeps mean relative
-estimation error < 5 % (same bound as the oracle churn benchmark).
+estimation error < 5 % (same bound as the oracle churn benchmark) and
+runs within ``OVERHEAD_RATIO_BOUND`` times the oracle's wall clock.
 Results land in ``benchmarks/out/BENCH_membership.json`` (paper-scale
 runs also refresh the git-tracked copy at the repo root). A smoke
 configuration (``--n 20000``) runs in seconds for CI.
@@ -51,6 +52,11 @@ VIEW_SIZE = 20
 SEED = 2004
 EQUIVALENCE_N = 600  # all-backend replay size
 EQUIVALENCE_BACKENDS = ("reference", "vectorized", "sharded:2")
+# newscast-over-oracle wall-clock bound at N >= 1 000 000. The archived
+# ratio is 13.5 on a 2-core VM (13.0 in a second run there); the oracle
+# run lasts only ~6 s, so the bound leaves ~50 % for host noise. The
+# argsort-based view dedup measured 28.7 on the same host.
+OVERHEAD_RATIO_BOUND = 20.0
 
 
 def figure4_experiment(n, *, cycles=CYCLES, epoch=EPOCH, membership=None,
@@ -169,6 +175,11 @@ def check(series):
         f"oracle mean relative error "
         f"{series['oracle_mean_relative_error']:.3f} exceeds the 5% bound"
     )
+    if series["n"] >= N:
+        assert series["overhead_ratio"] < OVERHEAD_RATIO_BOUND, (
+            f"newscast overhead {series['overhead_ratio']:.1f}x the oracle "
+            f"exceeds the {OVERHEAD_RATIO_BOUND:.0f}x paper-scale bound"
+        )
 
 
 def test_membership(benchmark, capsys):

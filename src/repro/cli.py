@@ -62,7 +62,7 @@ from .avg import (
 )
 from .core import SizeEstimationConfig, SizeEstimationExperiment
 from .core.service import AggregationService
-from .errors import BackendSpecError
+from .errors import BackendSpecError, ReproError
 from .failures import OscillatingChurn
 from .kernel import CheckpointSpec, GossipEngine, Scenario, parse_backend_spec
 from .kernel.backends.sharded import POOL_FAILURE_MODES
@@ -690,11 +690,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A library error (bad size, loss rate, checkpoint, ...) prints one
+    ``error: ...`` line to stderr and exits 2, like an argparse error.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     _resolve_backend(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -230,22 +230,39 @@ def apply_sequential(
 def _first_distinct_batch(candidates: np.ndarray, view_size: int) -> np.ndarray:
     """Per row: the first ``view_size`` distinct entries in candidate
     order, padded with the remaining duplicates (in order) when fewer
-    distinct values exist. Vectorized as two argsorts: one by value to
-    flag repeat occurrences, one by the flag to stably partition first
-    occurrences ahead of repeats. The value sort composes (value,
-    column) into one int64 key so a plain quicksort yields the stable
-    order — numpy's stable radix path is ~4x slower at this row width.
+    distinct values exist.
+
+    Two in-place row sorts on packed integer keys, no argsort:
+
+    1. ``value << bits | column`` (int32 when every value of the block
+       fits beside the column bits, int64 otherwise) sorts each row by
+       value with ties in column order, so the first entry of every
+       run of equal values is its first occurrence;
+    2. ``repeat << bits | column`` (int16 up to 16384 columns) sorts
+       first occurrences ahead of repeats, each group in column order.
+
+    The first ``view_size`` columns of the second sort index the result
+    through one flat gather. Every step is integer arithmetic, so the
+    output is exactly that of :func:`_first_distinct_row` on each row.
     """
-    width = candidates.shape[1]
-    keys = candidates.astype(np.int64) * width + np.arange(width)
-    order = np.argsort(keys, axis=1)
-    ranked = np.take_along_axis(candidates, order, axis=1)
-    dup_ranked = np.zeros(candidates.shape, dtype=bool)
-    dup_ranked[:, 1:] = ranked[:, 1:] == ranked[:, :-1]
-    dup = np.empty_like(dup_ranked)
-    np.put_along_axis(dup, order, dup_ranked, axis=1)
-    keep = np.argsort(dup, axis=1, kind="stable")[:, :view_size]
-    return np.take_along_axis(candidates, keep, axis=1)
+    m, width = candidates.shape
+    bits = (width - 1).bit_length()
+    mask = (1 << bits) - 1
+    limit = 1 << (31 - bits)
+    fits = -limit <= candidates.min() and candidates.max() < limit
+    keys = candidates.astype(np.int32 if fits else np.int64)
+    keys <<= bits
+    keys |= np.arange(width, dtype=keys.dtype)
+    keys.sort(axis=1)
+    values = keys >> bits
+    ranked = keys.astype(np.int16 if bits < 15 else np.int32)
+    ranked &= mask
+    repeat = values[:, 1:] == values[:, :-1]
+    ranked[:, 1:] |= np.left_shift(repeat, bits, dtype=ranked.dtype)
+    ranked.sort(axis=1)
+    columns = ranked[:, :view_size] & mask
+    rows = np.arange(0, m * width, width)
+    return candidates.ravel()[columns + rows[:, None]]
 
 
 def _first_distinct_row(candidates: list, view_size: int) -> list:

@@ -13,6 +13,8 @@ tests (in-degree tails, oracle-vs-newscast Figure-4 parity) are marked
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core import SizeEstimationConfig, SizeEstimationExperiment
 from repro.errors import ConfigurationError, TopologyError
@@ -27,6 +29,8 @@ from repro.kernel import (
 from repro.kernel.adversary import AdversarySpec
 from repro.kernel.backends import VectorizedBackend
 from repro.kernel.backends.base import (
+    _first_distinct_batch,
+    _first_distinct_row,
     merge_views_batch,
     merge_views_sequential,
 )
@@ -247,6 +251,64 @@ class TestMergePrimitives:
         for node in np.concatenate([batch_a, batch_b]):
             row = views[node].tolist()
             assert len(set(row)) == v
+
+
+@st.composite
+def candidate_blocks(draw):
+    """An int32 candidate block and a ``view_size`` (1 to 25).
+
+    Entries come from a small pool (so rows repeat values and may hold
+    fewer than ``view_size`` distinct ones) plus ``-1`` grown-capacity
+    entries; the pool may sit at or above 2**25, past what fits an
+    int32 sort key beside the column bits.
+    """
+    view_size = draw(st.integers(1, 25))
+    width = draw(st.integers(view_size, 2 * view_size + 1))
+    m = draw(st.integers(1, 12))
+    base = draw(st.sampled_from([0, 2**25, 2**31 - 64]))
+    pool = draw(st.integers(1, 2 * width))
+    entries = st.one_of(st.just(-1), st.integers(base, base + pool - 1))
+    block = draw(arrays(np.int32, (m, width), elements=entries))
+    return block, view_size
+
+
+@st.composite
+def dirty_views(draw):
+    """Views with ``-1`` rows, duplicate and self entries, and one
+    node-disjoint batch of ``(a, b)`` pairs."""
+    n = draw(st.integers(2, 40))
+    view_size = draw(st.integers(1, 12))
+    entries = st.integers(-1, min(n, 6) - 1) | st.integers(-1, n - 1)
+    views = draw(arrays(np.int32, (n, view_size), elements=entries))
+    grown = draw(arrays(bool, n))
+    views[grown] = -1
+    perm = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(1, n // 2))
+    batch_a = np.array(perm[:pairs], dtype=np.int64)
+    batch_b = np.array(perm[pairs:2 * pairs], dtype=np.int64)
+    return views, batch_a, batch_b
+
+
+class TestMergeProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_blocks())
+    def test_first_distinct_batch_matches_row(self, case):
+        block, view_size = case
+        out = _first_distinct_batch(block, view_size)
+        assert out.dtype == block.dtype
+        assert out.shape == (len(block), view_size)
+        for row, result in zip(block.tolist(), out.tolist()):
+            assert result == _first_distinct_row(row, view_size)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dirty_views())
+    def test_batch_matches_sequential_on_dirty_views(self, case):
+        views, batch_a, batch_b = case
+        batched = views.copy()
+        stepped = views.copy()
+        merge_views_batch(batched, batch_a, batch_b)
+        merge_views_sequential(stepped, batch_a, batch_b)
+        assert np.array_equal(batched, stepped)
 
 
 class TestEngineIntegration:

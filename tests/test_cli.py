@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestParser:
@@ -66,3 +73,26 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "network size" in out
         assert "total" in out
+
+
+class TestLibraryErrors:
+    def test_library_error_prints_one_line(self, capsys):
+        code = main(["figure3a", "--n", "-5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: topology needs at least one node, got n=-5\n"
+        )
+        assert captured.out == ""
+
+    def test_module_exits_2_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "figure3a", "--n", "-5"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == [
+            "error: topology needs at least one node, got n=-5"
+        ]
